@@ -30,12 +30,13 @@ bench:
 
 # bench-core measures the engine hot path — the four Table I
 # configurations (cycles/sec), the saturated clock loop (allocs/op) with
-# its worker sweep, the isolated vault-stage dispatch, and the sparse
+# its worker sweep, the isolated vault-stage dispatch, the sparse
 # gap-paced pairs whose wheel-vs-walk ratio is the event-wheel idle-skip
-# speedup — and commits the parsed record to BENCH_core.json, including
-# the speedup against the pre-optimization baseline.
+# speedup, and the packet CRC/build and queue Remove layer rows — and
+# commits the parsed record to BENCH_core.json, including the speedup
+# against the pre-optimization baseline.
 bench-core:
-	( $(GO) test -run '^$$' -bench 'BenchmarkTableI_|BenchmarkClockSaturated|BenchmarkSparse_' -benchmem . && \
+	( $(GO) test -run '^$$' -bench 'BenchmarkTableI_|BenchmarkClockSaturated|BenchmarkSparse_|BenchmarkCRC$$|BenchmarkPacketBuildRequest$$|BenchmarkQueueRemove$$' -benchmem . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkVaultStage' -benchmem ./internal/core ) \
 		| $(GO) run ./cmd/hmcsim-benchcore -out BENCH_core.json
 

@@ -47,7 +47,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
@@ -115,7 +114,7 @@ func main() {
 		LegacyPaths: *legacyPaths,
 		Pprof:       *pprofOn,
 	})
-	srv := &http.Server{Handler: handler}
+	srv := server.NewHTTPServer(handler)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -541,7 +541,7 @@ func runBench(path string, jobs int, requests uint64, seed uint32, poll, timeout
 		Workers: workers, QueueDepth: jobs + workers,
 		CacheBytes: 256 << 20,
 	})
-	srv := &http.Server{Handler: server.NewHandler(mgr)}
+	srv := server.NewHTTPServer(server.NewHandler(mgr))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err

@@ -402,18 +402,61 @@ func TestPropertyWordsRoundTripThroughFromWords(t *testing.T) {
 	}
 }
 
+// TestCRCKnownValues pins the wire CRC to literal answers, so a change to
+// the implementation cannot silently change the CRC carried in packets.
 func TestCRCKnownValues(t *testing.T) {
-	// Pin the CRC implementation so the wire format stays stable across
-	// refactors.
-	if got := CRC([]uint64{0}); got != crcUpdate(0, 0) {
-		t.Errorf("CRC([0]) = %#x inconsistent with crcUpdate", got)
+	long := make([]uint64, MaxWords)
+	for i := range long {
+		long[i] = uint64(i) * 0x9E3779B97F4A7C15
 	}
-	got1 := CRC([]uint64{0x0123456789ABCDEF})
-	got2 := CRC([]uint64{0x0123456789ABCDEF})
-	if got1 != got2 {
-		t.Error("CRC not deterministic")
+	cases := []struct {
+		name  string
+		words []uint64
+		want  uint32
+	}{
+		{"zero word", []uint64{0}, 0},
+		{"one word", []uint64{0x0123456789ABCDEF}, 0xae930ebe},
+		{"two words", []uint64{1, 2}, 0x278abcc3},
+		{"MaxWords", long, 0xafc88831},
 	}
-	if CRC([]uint64{1}) == CRC([]uint64{2}) {
-		t.Error("CRC collision on trivially distinct inputs")
+	for _, c := range cases {
+		if got := CRC(c.words); got != c.want {
+			t.Errorf("%s: CRC = %#08x, want %#08x", c.name, got, c.want)
+		}
+	}
+}
+
+// crcBitSerial is the reference CRC: polynomial division one bit at a
+// time, MSB-first, over the bytes of each word in little-endian order.
+func crcBitSerial(words []uint64) uint32 {
+	var crc uint32
+	for _, w := range words {
+		for i := 0; i < 64; i += 8 {
+			b := byte(w >> i)
+			for bit := 7; bit >= 0; bit-- {
+				feedback := crc>>31 ^ uint32(b>>bit)&1
+				crc <<= 1
+				if feedback != 0 {
+					crc ^= crcPoly
+				}
+			}
+		}
+	}
+	return crc
+}
+
+// TestCRCMatchesBitSerial checks the table-driven CRC against the
+// bit-serial reference on seeded random packets of every legal length.
+func TestCRCMatchesBitSerial(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	words := make([]uint64, MaxWords)
+	for iter := 0; iter < 20000; iter++ {
+		n := 1 + r.Intn(MaxWords)
+		for i := 0; i < n; i++ {
+			words[i] = r.Uint64()
+		}
+		if got, want := CRC(words[:n]), crcBitSerial(words[:n]); got != want {
+			t.Fatalf("iter %d, %d words %x: CRC = %#08x, bit-serial = %#08x", iter, n, words[:n], got, want)
+		}
 	}
 }

@@ -131,8 +131,7 @@ func (q *Queue) Push(p *packet.Packet, clock uint64) error {
 	if q.Full() {
 		return ErrFull
 	}
-	i := (q.head + q.count) % len(q.slots)
-	q.slots[i] = Slot{Valid: true, Packet: p, Arrived: clock}
+	q.slots[q.index(q.count)] = Slot{Valid: true, Packet: p, Arrived: clock}
 	q.count++
 	return nil
 }
@@ -152,7 +151,7 @@ func (q *Queue) At(i int) *Slot {
 	if i < 0 || i >= q.count {
 		return nil
 	}
-	return &q.slots[(q.head+i)%len(q.slots)]
+	return &q.slots[q.index(i)]
 }
 
 // Pop removes and returns the head packet, transferring ownership to the
@@ -161,12 +160,30 @@ func (q *Queue) Pop() (*packet.Packet, bool) {
 	if q.Empty() {
 		return nil, false
 	}
-	s := &q.slots[q.head]
-	p := s.Packet
-	*s = Slot{}
-	q.head = (q.head + 1) % len(q.slots)
-	q.count--
+	p := q.slots[q.head].Packet
+	q.dropHead()
 	return p, true
+}
+
+// index maps FIFO position i (0 <= i < depth) to its ring index. The ring
+// arithmetic wraps by compare-and-subtract: Table I depths are not powers
+// of two, and a division per slot access is the cost being avoided.
+func (q *Queue) index(i int) int {
+	j := q.head + i
+	if j >= len(q.slots) {
+		j -= len(q.slots)
+	}
+	return j
+}
+
+// dropHead clears the head slot and advances the ring head past it.
+func (q *Queue) dropHead() {
+	q.slots[q.head] = Slot{}
+	q.head++
+	if q.head == len(q.slots) {
+		q.head = 0
+	}
+	q.count--
 }
 
 // Remove deletes the i-th valid slot (FIFO order) and compacts the queue,
@@ -182,20 +199,22 @@ func (q *Queue) Remove(i int) bool {
 	if i == 0 {
 		// Head removal is the common case (strict FIFO drains); it only
 		// advances the ring head.
-		q.slots[q.head] = Slot{}
-		q.head = (q.head + 1) % len(q.slots)
-		q.count--
+		q.dropHead()
 		return true
 	}
-	// Shift everything after i forward by one slot. Slots carry packet
-	// pointers, so the shift moves words, not packet bodies.
-	for j := i; j < q.count-1; j++ {
-		cur := (q.head + j) % len(q.slots)
-		next := (q.head + j + 1) % len(q.slots)
+	// Shift everything after i forward by one slot, walking one running
+	// ring index. Slots carry packet pointers, so the shift moves words,
+	// not packet bodies.
+	cur := q.index(i)
+	for j := i + 1; j < q.count; j++ {
+		next := cur + 1
+		if next == len(q.slots) {
+			next = 0
+		}
 		q.slots[cur] = q.slots[next]
+		cur = next
 	}
-	last := (q.head + q.count - 1) % len(q.slots)
-	q.slots[last] = Slot{}
+	q.slots[cur] = Slot{}
 	q.count--
 	return true
 }
@@ -203,10 +222,15 @@ func (q *Queue) Remove(i int) bool {
 // ClearCycleFlags resets the Deferred and Moved marks on every valid
 // slot. The clock engine calls it at the start of each cycle.
 func (q *Queue) ClearCycleFlags() {
+	j := q.head
 	for i := 0; i < q.count; i++ {
-		s := &q.slots[(q.head+i)%len(q.slots)]
+		s := &q.slots[j]
 		s.Deferred = false
 		s.Moved = false
+		j++
+		if j == len(q.slots) {
+			j = 0
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -211,66 +212,168 @@ func TestReset(t *testing.T) {
 	}
 }
 
-// TestPropertyFIFOModel drives the queue with a random push/pop/remove
-// sequence and checks it against a plain-slice reference model.
+// modelSlot is the reference model's view of one queued packet.
+type modelSlot struct {
+	tag             uint16
+	deferred, moved bool
+}
+
+// checkFIFOModel drives a queue of the given depth, with its ring head
+// first advanced to offset, through a random push/pop/remove/flag/clear
+// sequence and checks it against a plain-slice reference model after
+// every operation.
+func checkFIFOModel(r *rand.Rand, depth, offset int) error {
+	q := MustNew(depth)
+	for i := 0; i < offset; i++ {
+		_ = q.Push(mkpktQuick(0), 0)
+		q.Pop()
+	}
+	if q.head != offset {
+		return fmt.Errorf("head %d after %d push/pops, want %d", q.head, offset, offset)
+	}
+	var model []modelSlot
+	tag := uint16(0)
+	for op := 0; op < 200; op++ {
+		switch r.Intn(5) {
+		case 0: // push
+			err := q.Push(mkpktQuick(tag), 0)
+			if len(model) == depth {
+				if err != ErrFull {
+					return fmt.Errorf("op %d: push on full queue = %v", op, err)
+				}
+			} else {
+				if err != nil {
+					return fmt.Errorf("op %d: push: %v", op, err)
+				}
+				model = append(model, modelSlot{tag: tag})
+				tag = (tag + 1) & packet.MaxTag
+			}
+		case 1: // pop
+			p, ok := q.Pop()
+			if len(model) == 0 {
+				if ok {
+					return fmt.Errorf("op %d: pop on empty queue succeeded", op)
+				}
+			} else {
+				if !ok || p.Tag() != model[0].tag {
+					return fmt.Errorf("op %d: pop = %v, %v, want tag %d", op, p, ok, model[0].tag)
+				}
+				model = model[1:]
+			}
+		case 2: // remove random index
+			if len(model) == 0 {
+				continue
+			}
+			i := r.Intn(len(model))
+			if !q.Remove(i) {
+				return fmt.Errorf("op %d: Remove(%d) failed", op, i)
+			}
+			model = append(model[:i], model[i+1:]...)
+		case 3: // flag a random slot
+			if len(model) == 0 {
+				continue
+			}
+			i := r.Intn(len(model))
+			if r.Intn(2) == 0 {
+				q.At(i).Deferred, model[i].deferred = true, true
+			} else {
+				q.At(i).Moved, model[i].moved = true, true
+			}
+		case 4: // clock edge
+			q.ClearCycleFlags()
+			for i := range model {
+				model[i].deferred, model[i].moved = false, false
+			}
+		}
+		// Invariants after every operation.
+		if q.Len() != len(model) || q.Free() != depth-len(model) {
+			return fmt.Errorf("op %d: len %d free %d, model len %d", op, q.Len(), q.Free(), len(model))
+		}
+		for i, w := range model {
+			s := q.At(i)
+			if s == nil || !s.Valid || s.Packet.Tag() != w.tag || s.Deferred != w.deferred || s.Moved != w.moved {
+				return fmt.Errorf("op %d: At(%d) = %+v, want %+v", op, i, s, w)
+			}
+		}
+		if q.At(len(model)) != nil {
+			return fmt.Errorf("op %d: At(%d) past the tail is not nil", op, len(model))
+		}
+		// Vacated slots are fully cleared, not just marked invalid.
+		for i := len(model); i < depth; i++ {
+			if s := q.slots[q.index(i)]; s != (Slot{}) {
+				return fmt.Errorf("op %d: free ring slot %d = %+v", op, q.index(i), s)
+			}
+		}
+	}
+	return nil
+}
+
+// TestPropertyFIFOModel checks the queue against the reference model for
+// every depth 1..9 from every starting head offset, so that Push, Pop,
+// At, Remove and ClearCycleFlags all cross the ring's wrap boundary, and
+// then for random depths up to 16.
 func TestPropertyFIFOModel(t *testing.T) {
+	for depth := 1; depth <= 9; depth++ {
+		for offset := 0; offset < depth; offset++ {
+			for seed := int64(0); seed < 4; seed++ {
+				r := rand.New(rand.NewSource(seed*100 + int64(depth*10+offset)))
+				if err := checkFIFOModel(r, depth, offset); err != nil {
+					t.Fatalf("depth %d offset %d seed %d: %v", depth, offset, seed, err)
+				}
+			}
+		}
+	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		depth := 1 + r.Intn(16)
-		q := MustNew(depth)
-		var model []uint16
-		tag := uint16(0)
-		for op := 0; op < 200; op++ {
-			switch r.Intn(3) {
-			case 0: // push
-				err := q.Push(mkpktQuick(tag), 0)
-				if len(model) == depth {
-					if err != ErrFull {
-						return false
-					}
-				} else {
-					if err != nil {
-						return false
-					}
-					model = append(model, tag)
-					tag = (tag + 1) & packet.MaxTag
-				}
-			case 1: // pop
-				p, ok := q.Pop()
-				if len(model) == 0 {
-					if ok {
-						return false
-					}
-				} else {
-					if !ok || p.Tag() != model[0] {
-						return false
-					}
-					model = model[1:]
-				}
-			case 2: // remove random index
-				if len(model) == 0 {
-					continue
-				}
-				i := r.Intn(len(model))
-				if !q.Remove(i) {
-					return false
-				}
-				model = append(model[:i], model[i+1:]...)
-			}
-			// Invariants after every operation.
-			if q.Len() != len(model) || q.Free() != depth-len(model) {
-				return false
-			}
-			for i, w := range model {
-				if q.At(i).Packet.Tag() != w {
-					return false
-				}
-			}
+		if err := checkFIFOModel(r, depth, r.Intn(depth)); err != nil {
+			t.Log(err)
+			return false
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestClearCycleFlagsWrapped clears the cycle flags of a wrapped ring
+// whose flagged slots sit on both sides of the wrap, and checks that the
+// flags clear while everything else about the slots survives.
+func TestClearCycleFlagsWrapped(t *testing.T) {
+	q := MustNew(5)
+	for i := uint16(0); i < 3; i++ {
+		_ = q.Push(mkpkt(t, i), 0)
+		q.Pop()
+	}
+	for i := uint16(0); i < 5; i++ {
+		if err := q.Push(mkpkt(t, 10+i), uint64(100+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// FIFO positions 0,1 live at ring slots 3,4; positions 2,3,4 wrap to
+	// ring slots 0,1,2.
+	if q.head != 3 {
+		t.Fatalf("head = %d, want 3", q.head)
+	}
+	q.At(0).Moved = true
+	q.At(1).Deferred = true
+	q.At(2).Deferred = true
+	q.At(2).Moved = true
+	q.At(4).Moved = true
+	q.At(3).Retries = 2
+	q.ClearCycleFlags()
+	for i := 0; i < q.Len(); i++ {
+		s := q.At(i)
+		if s.Deferred || s.Moved {
+			t.Errorf("FIFO position %d still flagged: %+v", i, s)
+		}
+		if !s.Valid || s.Packet.Tag() != uint16(10+i) || s.Arrived != uint64(100+i) {
+			t.Errorf("FIFO position %d = %+v, want tag %d arrived %d", i, s, 10+i, 100+i)
+		}
+	}
+	if got := q.At(3).Retries; got != 2 {
+		t.Errorf("Retries = %d after ClearCycleFlags, want 2", got)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"time"
 
 	"hmcsim/internal/server/api"
 )
@@ -23,6 +24,25 @@ const maxBodyBytes = 1 << 20
 // identical to their /v1 counterparts; after it a release may drop them
 // (hmcsim-serve -legacy-paths=false previews that world today).
 const LegacySunset = "Sun, 01 Aug 2027 00:00:00 GMT"
+
+// Connection timeouts of the HTTP server NewHTTPServer builds.
+// ReadHeaderTimeout bounds how long a client may take to send a
+// request's headers, so a client that trickles a partial header cannot
+// pin a connection; IdleTimeout bounds how long a keep-alive connection
+// may sit between requests. There is deliberately no ReadTimeout or
+// WriteTimeout: an SSE stream (GET /v1/jobs/{id}/events) stays open for
+// as long as its job runs, and IdleTimeout never applies to a request in
+// progress.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 120 * time.Second
+)
+
+// NewHTTPServer returns an http.Server serving h with the connection
+// timeouts above.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
+}
 
 // HandlerOptions selects the optional parts of the HTTP surface.
 type HandlerOptions struct {
