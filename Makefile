@@ -29,8 +29,8 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # bench-core measures the engine hot path — the four Table I
-# configurations (cycles/sec), the saturated clock loop (allocs/op) with
-# its worker sweep, the isolated vault-stage dispatch, the sparse
+# configurations (cycles/sec), the saturated clock loop (allocs/op), the
+# isolated serial vault stages (3 and 4), the sparse
 # gap-paced pairs whose wheel-vs-walk ratio is the event-wheel idle-skip
 # speedup, and the packet CRC/build and queue Remove layer rows — and
 # commits the parsed record to BENCH_core.json, including the speedup
@@ -85,13 +85,13 @@ crash-smoke:
 	$(GO) test -run 'TestSuspendResumeDigestIdentical|TestJournalRecovery|TestIdempotentSubmit' -v ./internal/server
 
 # fabric-smoke exercises the multi-cube system-graph layer end to end:
-# the fabric conformance suite (digest + trace bit-identity across
-# worker counts, with and without fault injection), a 2x2 mesh run
-# through the offline CLI, and a topology capture round-tripped through
-# the JSON spec loader (DESIGN.md §13).
+# the fabric conformance suite (digest + trace bit-identity across the
+# inert Workers field, with and without fault injection), a 2x2 mesh
+# run through the offline CLI, and a topology capture round-tripped
+# through the JSON spec loader (DESIGN.md §13).
 fabric-smoke:
 	$(GO) test -run 'TestFabric' -v ./internal/fabric/... ./internal/server
-	$(GO) run ./cmd/hmcsim-fabric -requests 16384 -workers 4
+	$(GO) run ./cmd/hmcsim-fabric -requests 16384
 	$(GO) run ./cmd/hmcsim-topo -topo ring -devs 4 -json > $(or $(TMPDIR),/tmp)/hmcsim-ring4.json
 	$(GO) run ./cmd/hmcsim-fabric -spec $(or $(TMPDIR),/tmp)/hmcsim-ring4.json -requests 4096
 

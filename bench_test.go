@@ -19,7 +19,6 @@
 package hmcsim_test
 
 import (
-	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -29,8 +28,8 @@ import (
 	"hmcsim/internal/cpu"
 	"hmcsim/internal/ddrsim"
 	"hmcsim/internal/eval"
+	"hmcsim/internal/fabric/engine"
 	"hmcsim/internal/host"
-	"hmcsim/internal/numa"
 	"hmcsim/internal/obs"
 	"hmcsim/internal/packet"
 	"hmcsim/internal/queue"
@@ -443,17 +442,18 @@ func BenchmarkAblationFaultInjection(b *testing.B) {
 	}
 }
 
-// BenchmarkNUMAChannels measures concurrent multi-object scaling.
+// BenchmarkNUMAChannels measures concurrent multi-object scaling over
+// detached channels.
 func BenchmarkNUMAChannels(b *testing.B) {
 	for _, channels := range []int{1, 4} {
 		b.Run(sizeName(channels), func(b *testing.B) {
-			var last numa.Result
+			var tput float64
 			for i := 0; i < b.N; i++ {
-				sys, err := numa.New(numa.Config{Channels: channels, Object: core.Table1Configs()[0]})
+				chans, err := engine.BuildChannels(channels, core.Table1Configs()[0])
 				if err != nil {
 					b.Fatal(err)
 				}
-				last, err = sys.Run(func(ch int) workload.Generator {
+				res, err := engine.RunDetached(chans, func(ch int) workload.Generator {
 					g, err := workload.NewRandomAccess(uint32(ch+1), 2<<30, 64, 50)
 					if err != nil {
 						b.Fatal(err)
@@ -463,8 +463,14 @@ func BenchmarkNUMAChannels(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				var cycles, sent uint64
+				for _, r := range res {
+					cycles = max(cycles, r.Cycles)
+					sent += r.Sent
+				}
+				tput = float64(sent) / float64(cycles)
 			}
-			b.ReportMetric(last.Throughput(), "agg_req/sim_cycle")
+			b.ReportMetric(tput, "agg_req/sim_cycle")
 		})
 	}
 }
@@ -703,7 +709,7 @@ func BenchmarkGlibcRand(b *testing.B) {
 // BenchmarkClockSaturated measures the wall cost of one Clock call on a
 // fully loaded device.
 func BenchmarkClockSaturated(b *testing.B) {
-	benchClockSaturated(b, 0, nil)
+	benchClockSaturated(b, nil)
 }
 
 // BenchmarkClockSaturatedProbe is the saturated clock loop with the live
@@ -714,25 +720,11 @@ func BenchmarkClockSaturated(b *testing.B) {
 func BenchmarkClockSaturatedProbe(b *testing.B) {
 	probe := new(obs.Probe)
 	probe.Begin(uint64(b.N), time.Now())
-	benchClockSaturated(b, 0, probe)
+	benchClockSaturated(b, probe)
 }
 
-// BenchmarkClockSaturatedWorkers sweeps the sharded vault pipeline's
-// worker count over the same saturated clock loop. The w=1 row is the
-// serial engine (no pool); higher counts measure the dispatch overhead
-// and, on multi-core hosts, the per-cycle speedup. Results are
-// bit-identical across the sweep — only wall clock differs.
-func BenchmarkClockSaturatedWorkers(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
-			benchClockSaturated(b, w, nil)
-		})
-	}
-}
-
-func benchClockSaturated(b *testing.B, workers int, probe *obs.Probe) {
+func benchClockSaturated(b *testing.B, probe *obs.Probe) {
 	cfg := core.Table1Configs()[0]
-	cfg.Workers = workers
 	h, err := eval.BuildSimple(cfg)
 	if err != nil {
 		b.Fatal(err)

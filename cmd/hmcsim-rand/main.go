@@ -50,14 +50,12 @@ func main() {
 	faultSeed := flag.Uint64("fault-seed", 0, "fault-schedule seed (0: derived from -seed)")
 	faultRetries := flag.Int("fault-retries", 0, "link retry budget before an ERROR response (0: protocol default)")
 	failLinks := flag.String("fail-link", "", "comma-separated dev:link endpoints failed from reset")
-	workers := flag.Int("workers", 0, "shard worker count for the vault pipeline (0 = serial; results are bit-identical for any value)")
 	flag.Parse()
 
 	cfg := core.Config{
 		NumDevs: 1, NumLinks: *links, NumVaults: 4 * *links,
 		QueueDepth: *queueDepth, NumBanks: *banks, NumDRAMs: 20,
 		CapacityGB: *capacity, XbarDepth: *xbarDepth, BlockSize: 64,
-		Workers: *workers,
 	}
 	cfg.Fault = fault.Config{
 		TransientPPM: *faultTransient,

@@ -44,7 +44,6 @@ func main() {
 	paper := flag.Bool("paper", false, "run at the paper's full scale (33,554,432 requests)")
 	seed := flag.Uint("seed", 1, "glibc LCG seed for the random workload")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (the service's result schema) instead of the table")
-	workers := flag.Int("workers", 0, "shard worker count per simulation (0 = serial; results are bit-identical for any value)")
 	concurrent := flag.Bool("concurrent", true, "run the four configurations concurrently (rows and digests are unaffected)")
 	flag.Parse()
 
@@ -53,15 +52,14 @@ func main() {
 		n = eval.PaperRequests
 	}
 	if *jsonOut {
-		if err := emitJSON(n, uint32(*seed), *workers, *concurrent); err != nil {
+		if err := emitJSON(n, uint32(*seed), *concurrent); err != nil {
 			fmt.Fprintln(os.Stderr, "hmcsim-table1:", err)
 			os.Exit(1)
 		}
 		return
 	}
 	res, err := eval.RunTableIOpts(eval.TableIOpts{
-		Requests: n, Seed: uint32(*seed),
-		Workers: *workers, Concurrent: *concurrent,
+		Requests: n, Seed: uint32(*seed), Concurrent: *concurrent,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hmcsim-table1:", err)
@@ -79,12 +77,11 @@ func main() {
 // and prints the shared result schema. The outer loop runs the four
 // independent simulations concurrently when asked; rows stay in Table I
 // order and every digest matches the serial run.
-func emitJSON(n uint64, seed uint32, workers int, concurrent bool) error {
+func emitJSON(n uint64, seed uint32, concurrent bool) error {
 	cfgs := core.Table1Configs()
 	rep := jsonReport{Requests: n, Seed: seed, Rows: make([]api.Result, len(cfgs))}
 	run := func(i int) error {
 		cfg := cfgs[i]
-		cfg.Workers = workers
 		res, err := server.Execute(context.Background(), api.SubmitRequest{
 			Config:   cfg,
 			Workload: workload.TableISpec(seed),

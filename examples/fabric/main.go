@@ -3,7 +3,7 @@
 // across the cubes through a block interleave, and packets route across
 // cube boundaries over multi-cycle links with dimension-order routing.
 // The whole fabric runs as one lockstep deterministic simulation, so the
-// digests printed at the end are bit-identical for every worker count.
+// digests printed at the end are bit-identical from run to run.
 package main
 
 import (
@@ -39,42 +39,31 @@ func main() {
 	fmt.Printf("system graph: %s, %d cubes, link latency %d cycles, %d B interleave\n\n",
 		spec.Kind(), spec.NumCubes(), spec.LinkLatency, spec.Interleave().Block)
 
-	// The same job at several worker counts: the fabric shards its
-	// (cube, vault) units across the pool, and every observable digest
-	// stays bit-identical.
-	fmt.Printf("%-8s %10s %12s %10s %18s %18s\n",
-		"workers", "cycles", "inter-cube", "hops", "result digest", "fabric digest")
-	for _, workers := range []int{1, 4, 16} {
-		cfg := cube
-		cfg.Workers = workers
-		sys, err := engine.Build(spec, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		d, err := sys.NewDriver(host.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		gen, err := workload.NewRandomAccess(3, sys.Capacity(), 64, 30)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := d.Run(gen, *requests)
-		if err != nil {
-			log.Fatal(err)
-		}
-		t := sys.Totals()
-		fmt.Printf("%-8d %10d %12d %10d   %016x   %016x\n",
-			workers, res.Cycles, t.IntercubePackets, t.Hops,
-			eval.ResultDigest(res), t.Digest())
-		if workers == 1 {
-			fmt.Println()
-			fmt.Println("per-cube breakdown (serial reference):")
-			for c, cs := range t.Cubes {
-				fmt.Printf("  cube %d: delivered %5d (r %5d / w %5d), relayed %5d requests\n",
-					c, cs.Delivered, cs.Reads, cs.Writes, cs.ReqRelayed)
-			}
-			fmt.Println()
-		}
+	sys, err := engine.Build(spec, cube)
+	if err != nil {
+		log.Fatal(err)
+	}
+	d, err := sys.NewDriver(host.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	gen, err := workload.NewRandomAccess(3, sys.Capacity(), 64, 30)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := d.Run(gen, *requests)
+	if err != nil {
+		log.Fatal(err)
+	}
+	t := sys.Totals()
+	fmt.Printf("%10s %12s %10s %18s %18s\n",
+		"cycles", "inter-cube", "hops", "result digest", "fabric digest")
+	fmt.Printf("%10d %12d %10d   %016x   %016x\n",
+		res.Cycles, t.IntercubePackets, t.Hops, eval.ResultDigest(res), t.Digest())
+	fmt.Println()
+	fmt.Println("per-cube breakdown:")
+	for c, cs := range t.Cubes {
+		fmt.Printf("  cube %d: delivered %5d (r %5d / w %5d), relayed %5d requests\n",
+			c, cs.Delivered, cs.Reads, cs.Writes, cs.ReqRelayed)
 	}
 }

@@ -3,8 +3,9 @@
 // contain more than one HMC-Sim object", with each object's rudimentary
 // clock domain operating completely independently, "analogous to the
 // current system on chip methodology of utilizing multiple memory
-// channels per socket". The channels run concurrently in goroutines and
-// aggregate bandwidth scales with the channel count.
+// channels per socket". The channels are detached fabric engines
+// (fabric/engine.BuildChannels/RunDetached) running concurrently in
+// goroutines, and aggregate bandwidth scales with the channel count.
 package main
 
 import (
@@ -13,8 +14,9 @@ import (
 	"log"
 
 	"hmcsim/internal/core"
+	"hmcsim/internal/fabric"
+	"hmcsim/internal/fabric/engine"
 	"hmcsim/internal/host"
-	"hmcsim/internal/numa"
 	"hmcsim/internal/workload"
 )
 
@@ -32,11 +34,11 @@ func main() {
 
 	var base float64
 	for _, channels := range []int{1, 2, 4, 8} {
-		sys, err := numa.New(numa.Config{Channels: channels, Object: obj})
+		chans, err := engine.BuildChannels(channels, obj)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := sys.Run(func(ch int) workload.Generator {
+		res, err := engine.RunDetached(chans, func(ch int) workload.Generator {
 			g, err := workload.NewRandomAccess(uint32(ch+1), 2<<30, 64, 50)
 			if err != nil {
 				log.Fatal(err)
@@ -46,20 +48,27 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		// The channels run in their own clock domains, so the run's
+		// wall clock is the slowest channel's cycle count.
+		var cycles, total uint64
+		for _, r := range res {
+			cycles = max(cycles, r.Cycles)
+			total += r.Sent
+		}
+		tput := float64(total) / float64(cycles)
 		if channels == 1 {
-			base = res.Throughput()
+			base = tput
 		}
 		fmt.Printf("%-9d %12d %14d %16.1f  (%.2fx)\n",
-			channels, res.Cycles, res.Requests, res.Throughput(),
-			res.Throughput()/base)
+			channels, cycles, total, tput, tput/base)
 	}
 
 	// Channel interleave demonstration: consecutive blocks round-robin
 	// across channels with dense channel-local addresses.
-	sys, _ := numa.New(numa.Config{Channels: 4, Object: obj})
+	iv := fabric.Interleave{Ways: 4, Block: 64}
 	fmt.Println("\nblock-interleaved sharding of a flat address space:")
 	for i := uint64(0); i < 8; i++ {
-		ch, local := sys.Shard(i * 64)
+		ch, local := iv.Shard(i * 64)
 		fmt.Printf("  system %#06x -> channel %d local %#06x\n", i*64, ch, local)
 	}
 }

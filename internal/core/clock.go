@@ -68,10 +68,8 @@ func (h *HMC) Clock() error {
 	}
 
 	// Stages 3 and 4: bank conflict recognition, then vault queue memory
-	// request transactions. Both stages are per-vault independent, so
-	// they run as one sharded dispatch — serially for Workers<=1, across
-	// the worker pool otherwise — and merge back in vault-index order
-	// before the serial response stage (see shard.go and DESIGN.md §10).
+	// request transactions, each a serial pass over every (device, vault)
+	// in device-major order (see vault.go and DESIGN.md §10).
 	h.vaultStages()
 
 	// Stage 5: response registration, root devices first so their queues

@@ -83,14 +83,11 @@ type Config struct {
 	//
 	// Deprecated: set Fault.Seed instead.
 	FaultSeed uint64
-	// Workers selects the clock engine's shard worker count: the vault
-	// and bank-conflict sub-cycle stages are partitioned into Workers
-	// static contiguous shards executed by a fixed goroutine pool, then
-	// merged in vault-index order before the serial crossbar stages run.
-	// Results are bit-identical for every worker count (see DESIGN.md
-	// §10); Workers only trades wall-clock time for cores. Zero or one
-	// selects the serial engine; the value is validated against
-	// MaxWorkers and capped at the simulated vault count.
+	// Workers is accepted for compatibility with configurations written
+	// when the vault stages could run on a worker pool. It changes
+	// neither results nor speed: the clock engine is serial. The value
+	// is still validated against [0, MaxWorkers], since it arrives from
+	// outside input (wire payloads, journals).
 	Workers int
 	// XbarPassing enables the specification's crossbar reordering point:
 	// arriving packets destined for ancillary devices (or for other
@@ -132,25 +129,10 @@ func Table1Configs() []Config {
 	}
 }
 
-// MaxWorkers bounds Config.Workers. The cap exists for API hygiene (a
-// service submission cannot spawn an arbitrary goroutine count); it is
-// far above the vault-count ceiling that effectively limits useful
-// parallelism on the paper's device shapes.
+// MaxWorkers bounds Config.Workers, the compatibility field that no
+// longer selects anything; the cap keeps old payloads validating as
+// they did.
 const MaxWorkers = 64
-
-// effectiveWorkers resolves the shard worker count: at least one, at
-// most one worker per simulated vault (a shard cannot be smaller than
-// one vault).
-func (c Config) effectiveWorkers() int {
-	w := c.Workers
-	if w < 1 {
-		w = 1
-	}
-	if units := c.NumDevs * c.NumVaults; units > 0 && w > units {
-		w = units
-	}
-	return w
-}
 
 // effectiveFault resolves the fault configuration, folding the
 // deprecated flat FaultPPM/FaultSeed knobs onto the transient link rate
@@ -242,9 +224,8 @@ func (c Config) deviceConfig() device.Config {
 // key (ckey/cache). Two configurations with equal Canonical() values
 // build engines that produce bit-identical results:
 //
-//   - Workers is zeroed: the sharded clock engine is digest-identical
-//     for every worker count (DESIGN.md §10), so the hint only trades
-//     wall-clock time.
+//   - Workers is zeroed: the field is inert (the clock engine is
+//     serial), so it cannot distinguish two results.
 //   - The deprecated FaultPPM/FaultSeed knobs fold into Fault
 //     (effectiveFault) and are cleared; a fault config in which no fault
 //     class can fire is normalized to the zero value, since its seed and

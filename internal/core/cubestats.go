@@ -6,11 +6,10 @@ package core
 // digests and pinned by golden payloads, so the per-cube breakdown is a
 // parallel structure rather than new Stats fields.
 //
-// Every counter is incremented from a serial sub-cycle stage (crossbar
-// request routing and response registration), never from the sharded
-// vault pipeline, so the values are bit-identical for every worker count
-// without touching the shard merge discipline. The counters are
-// engine-lifetime totals; they are not windowed by a driver's warm-up.
+// Every counter is incremented from the crossbar request routing and
+// response registration stages, never from the vault stages. The
+// counters are engine-lifetime totals; they are not windowed by a
+// driver's warm-up.
 type CubeStats struct {
 	// Delivered counts memory requests delivered into this cube's
 	// vaults, with the Reads/Writes/Atomics class split taken at

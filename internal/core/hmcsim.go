@@ -8,7 +8,6 @@ import (
 	"hmcsim/internal/fault"
 	"hmcsim/internal/packet"
 	"hmcsim/internal/reg"
-	"hmcsim/internal/sched"
 	"hmcsim/internal/topo"
 	"hmcsim/internal/trace"
 )
@@ -89,22 +88,16 @@ type HMC struct {
 	// response and request sub-cycle stages.
 	rootOrder, childOrder []int
 
-	// shards is the static partition of the (device, vault) space for
-	// the sharded bank-conflict/vault stages; sched is the worker pool
-	// that executes it, nil when the effective worker count is one (the
-	// shards then run inline on the coordinator). shardFn is the stored
-	// dispatch closure, allocated once so the per-cycle Run call does
-	// not allocate. See shard.go and DESIGN.md §10.
-	shards  []shard
-	sched   *sched.Pool
-	shardFn func(worker int)
+	// rdbuf stages bank read data en route to a response packet (see
+	// serviceVaultRequest); it never aliases packet storage.
+	rdbuf [16]uint64
 
 	// fault is the deterministic fault engine (see package fault).
 	fault *fault.Engine
 	// vaultFaults holds one independent fault stream per (device, vault),
-	// indexed [dev][vault]. Each stream is owned by the shard that owns
-	// its vault, so shards draw vault faults concurrently without
-	// perturbing each other's schedules (see fault.VaultStream).
+	// indexed [dev][vault]. Each vault draws only from its own stream,
+	// so a vault's fault schedule does not depend on traffic at other
+	// vaults (see fault.VaultStream).
 	vaultFaults [][]fault.VaultStream
 	// retry holds the per-host-link retry buffers of the link
 	// controllers, indexed [dev][link]: a transfer corrupted by a
@@ -177,11 +170,6 @@ func New(cfg Config) (*HMC, error) {
 		}
 		h.devs[i] = d
 		h.retry[i] = make([]retryState, cfg.NumLinks)
-	}
-	h.shards = buildShards(cfg)
-	h.shardFn = h.runShard
-	if len(h.shards) > 1 {
-		h.sched = sched.New(len(h.shards))
 	}
 	h.vaultFaults = make([][]fault.VaultStream, cfg.NumDevs)
 	for i := range h.vaultFaults {

@@ -16,46 +16,6 @@ type eventCapture struct{ events []trace.Event }
 
 func (c *eventCapture) Trace(e trace.Event) { c.events = append(c.events, e) }
 
-func TestShardPartition(t *testing.T) {
-	cfg := testConfig() // 1 dev x 16 vaults
-	for _, w := range []int{0, 1, 2, 3, 5, 16, MaxWorkers} {
-		cfg.Workers = w
-		shards := buildShards(cfg)
-		want := w
-		if want < 1 {
-			want = 1
-		}
-		if want > 16 {
-			want = 16 // capped at the vault count
-		}
-		if len(shards) != want {
-			t.Fatalf("Workers=%d: %d shards, want %d", w, len(shards), want)
-		}
-		// The shards tile the device-major vault space contiguously,
-		// exactly once, with sizes differing by at most one.
-		next, min, max := 0, 16, 0
-		for _, sh := range shards {
-			if n := len(sh.units); n < min {
-				min = n
-			} else if n > max {
-				max = n
-			}
-			for _, u := range sh.units {
-				if u.dev != 0 || u.vault != next {
-					t.Fatalf("Workers=%d: unit %+v out of order (want vault %d)", w, u, next)
-				}
-				next++
-			}
-		}
-		if next != 16 {
-			t.Fatalf("Workers=%d: %d units covered, want 16", w, next)
-		}
-		if max > 0 && max-min > 1 {
-			t.Errorf("Workers=%d: shard sizes spread %d..%d, want balanced", w, min, max)
-		}
-	}
-}
-
 // parallelRun drives a deterministic mixed workload — reads, writes,
 // atomics and posted requests across every host link, with refresh
 // enabled — and returns periodic state digests, the final counters and
@@ -275,20 +235,5 @@ func TestWorkersValidation(t *testing.T) {
 	cfg.Workers = MaxWorkers + 1
 	if _, err := New(cfg); !errors.Is(err, ErrConfig) {
 		t.Errorf("Workers=%d: err = %v, want ErrConfig", cfg.Workers, err)
-	}
-	h, err := NewWithOptions(testConfig(), WithWorkers(MaxWorkers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := h.Config().Workers; got != MaxWorkers {
-		t.Errorf("WithWorkers: Config.Workers = %d, want %d", got, MaxWorkers)
-	}
-	// The shard count is capped at the vault count, so an oversized
-	// worker request cannot produce empty shards.
-	if len(h.shards) != 16 {
-		t.Errorf("shard count = %d, want 16 (vault cap)", len(h.shards))
-	}
-	if h.sched == nil || h.sched.Workers() != 16 {
-		t.Error("worker pool missing or mis-sized for capped worker count")
 	}
 }

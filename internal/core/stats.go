@@ -50,35 +50,6 @@ type Stats struct {
 	FlowPackets uint64
 }
 
-// Add accumulates o into s.
-func (s *Stats) Add(o Stats) {
-	s.Reads += o.Reads
-	s.Writes += o.Writes
-	s.Atomics += o.Atomics
-	s.Posted += o.Posted
-	s.Modes += o.Modes
-	s.BytesRead += o.BytesRead
-	s.BytesWritten += o.BytesWritten
-	s.ColumnFetches += o.ColumnFetches
-	s.Responses += o.Responses
-	s.Recvs += o.Recvs
-	s.XbarRqstStalls += o.XbarRqstStalls
-	s.XbarRspStalls += o.XbarRspStalls
-	s.VaultRspStalls += o.VaultRspStalls
-	s.BankConflicts += o.BankConflicts
-	s.LatencyEvents += o.LatencyEvents
-	s.RouteHops += o.RouteHops
-	s.SendStalls += o.SendStalls
-	s.Errors += o.Errors
-	s.RefreshStalls += o.RefreshStalls
-	s.LinkRetransmits += o.LinkRetransmits
-	s.ErrorResponses += o.ErrorResponses
-	s.LinkFailures += o.LinkFailures
-	s.Reroutes += o.Reroutes
-	s.PoisonedReads += o.PoisonedReads
-	s.FlowPackets += o.FlowPackets
-}
-
 // Sub returns s - o field by field. It supports measurement windows:
 // snapshot the stats at the start of the window and subtract at the end.
 func (s Stats) Sub(o Stats) Stats {

@@ -1,28 +1,23 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"hmcsim/internal/packet"
 )
 
-// BenchmarkVaultStage isolates sub-cycle stages 3 and 4 — the sharded
-// bank-conflict and vault service passes plus the merge — from the rest
-// of the clock cycle. Crossbar delivery into the vault queues and
-// response draining run with the timer stopped, so the measured cost is
-// one vaultStages() dispatch over loaded vault queues. The w=1 row runs
-// the inline (poolless) path; higher counts expose the barrier dispatch
-// overhead and, on multi-core hosts, the shard-level speedup.
+// BenchmarkVaultStage isolates sub-cycle stages 3 and 4 — the serial
+// bank-conflict and vault service passes — from the rest of the clock
+// cycle. Crossbar delivery into the vault queues and response draining
+// run with the timer stopped, so the measured cost is one vaultStages()
+// call over loaded vault queues. The single w=1 row keeps the row name
+// of earlier BENCH_core.json records comparable.
 func BenchmarkVaultStage(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) { benchVaultStage(b, w) })
-	}
+	b.Run("w=1", benchVaultStage)
 }
 
-func benchVaultStage(b *testing.B, workers int) {
+func benchVaultStage(b *testing.B) {
 	cfg := testConfig()
-	cfg.Workers = workers
 	h, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)

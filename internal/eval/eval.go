@@ -93,10 +93,6 @@ type TableIOpts struct {
 	Requests uint64
 	// Seed seeds the random access workload.
 	Seed uint32
-	// Workers is the shard worker count of each simulation
-	// (core.Config.Workers). Results are bit-identical for every value;
-	// it only changes how many cores one simulation uses.
-	Workers int
 	// Concurrent runs the four configurations concurrently instead of
 	// back to back. The four simulations are independent, so the rows —
 	// kept in Table I order — are identical either way.
@@ -110,15 +106,13 @@ func RunTableI(numRequests uint64, seed uint32) (Table1Result, error) {
 	return RunTableIOpts(TableIOpts{Requests: numRequests, Seed: seed})
 }
 
-// RunTableIOpts is RunTableI with the full option set: per-simulation
-// worker counts and a concurrent outer loop over the four
-// configurations.
+// RunTableIOpts is RunTableI with the full option set, including a
+// concurrent outer loop over the four configurations.
 func RunTableIOpts(o TableIOpts) (Table1Result, error) {
 	cfgs := core.Table1Configs()
 	res := Table1Result{Requests: o.Requests, Rows: make([]Table1Row, len(cfgs))}
 	run := func(i int) error {
 		cfg := cfgs[i]
-		cfg.Workers = o.Workers
 		row, err := RunRandom(cfg, o.Requests, o.Seed, nil)
 		if err != nil {
 			return fmt.Errorf("eval: %v: %w", cfg, err)

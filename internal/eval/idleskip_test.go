@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"hmcsim/internal/check"
 	"hmcsim/internal/core"
 	"hmcsim/internal/fabric"
 	"hmcsim/internal/fabric/engine"
@@ -83,9 +84,24 @@ func runSkipCase(t *testing.T, c skipCase, n uint64, forceWalk bool) (host.Resul
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Audit the engine's queue invariants every checkEvery driver polls,
+	// so corruption fails the case at the clock it first shows, not only
+	// as a digest mismatch at the end.
+	const checkEvery = 64
+	polls := 0
+	audit := func() error {
+		if polls++; polls%checkEvery != 0 {
+			return nil
+		}
+		if err := check.Verify(h); err != nil {
+			return fmt.Errorf("invariant violated at clock %d: %w", h.Clk(), err)
+		}
+		return nil
+	}
 	d, err := host.NewDriver(h, host.Options{
 		GapCycles:       c.gap,
 		DisableIdleSkip: forceWalk,
+		Interrupt:       audit,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -95,7 +95,7 @@ func TestTableIConcurrentOuterLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conc, err := RunTableIOpts(TableIOpts{Requests: 50_000, Seed: 3, Concurrent: true, Workers: 2})
+	conc, err := RunTableIOpts(TableIOpts{Requests: 50_000, Seed: 3, Concurrent: true})
 	if err != nil {
 		t.Fatal(err)
 	}

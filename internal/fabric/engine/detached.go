@@ -9,14 +9,12 @@ import (
 	"hmcsim/internal/workload"
 )
 
-// This file carries the detached multi-object execution mode the numa
-// package historically implemented itself: N fully independent engines
-// (no inter-cube links, every link host-wired) each clocked by its own
-// goroutine. It lives here so the repository has exactly one multi-cube
-// code path owner — the fabric layer — with package numa reduced to thin
-// shims. Detached channels trade the fabric's single lockstep clock for
+// This file carries the detached multi-object execution mode: N fully
+// independent engines (no inter-cube links, every link host-wired) each
+// clocked by its own goroutine — the paper's multi-channel NUMA usage.
+// Detached channels trade the fabric's single lockstep clock for
 // per-channel clock domains; per-channel results are bit-identical to
-// running each engine alone, which is the property numa's tests pin.
+// running each engine alone (TestDetachedChannels pins this).
 
 // BuildChannels constructs n identical, fully independent engines from a
 // per-channel configuration, each with every link of every device wired

@@ -287,8 +287,8 @@ func TestBuildRejectsBadSpec(t *testing.T) {
 	}
 }
 
-// TestDetachedChannels pins the shim substrate numa rides on: channels
-// run detached and their per-channel results match running each alone.
+// TestDetachedChannels pins the multi-object contract: channels run
+// detached and their per-channel results match running each alone.
 func TestDetachedChannels(t *testing.T) {
 	const chans, n = 2, 300
 	cfg := cubeConfig(1)
@@ -303,11 +303,23 @@ func TestDetachedChannels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(cs) != chans || cs[0] == cs[1] {
+		t.Fatalf("BuildChannels(%d) returned %d engines, distinct: %v", chans, len(cs), cs[0] != cs[1])
+	}
+	for ch, h := range cs {
+		if got := len(h.Topology().HostLinks(0)); got != cfg.NumLinks {
+			t.Errorf("channel %d: %d host links, want %d", ch, got, cfg.NumLinks)
+		}
+	}
 	got, err := RunDetached(cs, mk, n, host.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for ch := 0; ch < chans; ch++ {
+		if r := got[ch]; r.Sent != n || r.Errors != 0 || r.Latency.Count() != n {
+			t.Errorf("channel %d: sent %d, errors %d, latency samples %d; want %d, 0, %d",
+				ch, r.Sent, r.Errors, r.Latency.Count(), n, n)
+		}
 		solo, err := BuildChannels(1, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -323,5 +335,13 @@ func TestDetachedChannels(t *testing.T) {
 		if g, w := eval.ResultDigest(got[ch]), eval.ResultDigest(want); g != w {
 			t.Errorf("channel %d digest %016x, want solo %016x", ch, g, w)
 		}
+	}
+}
+
+func TestBuildChannelsRejectsBadConfig(t *testing.T) {
+	bad := cubeConfig(1)
+	bad.NumVaults = 3
+	if _, err := BuildChannels(2, bad); err == nil {
+		t.Error("accepted bad channel config")
 	}
 }

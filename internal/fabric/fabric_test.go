@@ -3,6 +3,7 @@ package fabric
 import (
 	"encoding/json"
 	"testing"
+	"testing/quick"
 
 	"hmcsim/internal/topo"
 )
@@ -156,6 +157,7 @@ func TestFromTopologyRoundTrip(t *testing.T) {
 func TestInterleaveRoundTrip(t *testing.T) {
 	for _, iv := range []Interleave{
 		{Ways: 4, Block: 64},
+		{Ways: 8, Block: 64},
 		{Ways: 3, Block: 128}, // non-power-of-two cube count
 		{Ways: 1, Block: 64},
 	} {
@@ -173,12 +175,22 @@ func TestInterleaveRoundTrip(t *testing.T) {
 		if len(seen) != iv.Ways {
 			t.Errorf("iv %+v: only %d of %d cubes saw traffic", iv, len(seen), iv.Ways)
 		}
+		// Random addresses across a 40-bit space round-trip too.
+		f := func(raw uint64) bool {
+			addr := raw & (1<<40 - 1)
+			cube, local := iv.Shard(addr)
+			return cube >= 0 && cube < iv.Ways && iv.Unshard(cube, local) == addr
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+			t.Errorf("iv %+v: %v", iv, err)
+		}
 	}
 }
 
 // TestInterleaveMatchesBitSlice pins the power-of-two equivalence with
-// the classic bit-slice interleave package numa used: channel bits
-// extracted at the block boundary, upper bits shifted down.
+// the classic bit-slice channel interleave: channel bits extracted at
+// the block boundary, upper bits shifted down. Consecutive blocks thus
+// rotate across cubes with dense cube-local addresses.
 func TestInterleaveMatchesBitSlice(t *testing.T) {
 	const ways, block = 4, 64
 	iv := Interleave{Ways: ways, Block: block}

@@ -4,8 +4,7 @@ package fabric
 // Block-byte granularity: consecutive blocks land on consecutive cubes,
 // and each cube sees a dense local address space with the cube-selection
 // information removed. For power-of-two Ways the mapping degenerates to
-// the classic bit-slice interleave (the fabric layer subsumes the numa
-// package's channel interleave bit for bit); the modulo form additionally
+// the classic bit-slice channel interleave; the modulo form additionally
 // covers non-power-of-two cube counts such as a 2x3 mesh.
 type Interleave struct {
 	// Ways is the cube count (>= 1).

@@ -260,10 +260,8 @@ func (e *Engine) LinkFailure() bool { return e.roll(e.cfg.LinkFailPPM) }
 // vault. Splitting vault faults away from the engine's shared link
 // stream makes the vault-fault schedule a pure function of (seed,
 // device, vault, draw index): it does not depend on how draws from
-// different vaults interleave, so a sharded clock engine can advance
-// per-vault streams concurrently — each stream owned by exactly one
-// shard — and observe the same schedule as a serial walk in vault-index
-// order. Methods on a given stream must not be called concurrently.
+// different vaults interleave. Methods on a given stream must not be
+// called concurrently.
 type VaultStream struct {
 	state uint64
 	ppm   int

@@ -133,8 +133,8 @@ func TestIDStrings(t *testing.T) {
 	}
 }
 
-// TestVaultStreamDeterministicAndIndependent pins the contract the
-// sharded clock engine relies on: a vault's fault schedule is a pure
+// TestVaultStreamDeterministicAndIndependent pins the per-vault stream
+// contract the fault digest relies on: a vault's fault schedule is a pure
 // function of (seed, dev, vault, draw index), unaffected by draws from
 // other vaults or from the engine's shared link stream.
 func TestVaultStreamDeterministicAndIndependent(t *testing.T) {

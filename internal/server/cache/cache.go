@@ -34,8 +34,9 @@ type Key = ckey.Key
 //   - Name and IdempotencyKey label the submission, not the simulation.
 //   - TimeoutMS bounds wall-clock scheduling; a completed run's result
 //     does not depend on it.
-//   - Config.Workers, Workload.Workers and Workload.NoIdleSkip are
-//     execution hints with a bit-identity contract (DESIGN.md §10, §14).
+//   - Config.Workers and Workload.Workers are inert compatibility
+//     fields, and Workload.NoIdleSkip is an execution hint with a
+//     bit-identity contract (DESIGN.md §14).
 //
 // Everything else — including every nested fault-model and fabric field
 // — is semantic: flipping it changes the key.

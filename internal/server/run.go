@@ -65,13 +65,6 @@ func ExecuteProbed(ctx context.Context, spec JobSpec, probe *obs.Probe) (Result,
 // series.
 func ExecuteOpts(ctx context.Context, spec JobSpec, eo ExecOptions) (Result, error) {
 	cfg := spec.Config
-	if cfg.Workers == 0 && spec.Workload.Workers > 0 {
-		// The workload-level worker hint applies only when the device
-		// configuration does not pin a count itself, and is capped
-		// rather than rejected: an oversized hint is a wish for "as
-		// parallel as allowed", not an error.
-		cfg.Workers = min(spec.Workload.Workers, core.MaxWorkers)
-	}
 	var col *stats.Fig5Collector
 	var opts []core.Option
 	if spec.Fig5Interval > 0 {
@@ -82,7 +75,7 @@ func ExecuteOpts(ctx context.Context, spec JobSpec, eo ExecOptions) (Result, err
 	// Build the simulator: a multi-cube fabric when the spec carries a
 	// system graph, the classic single-object wiring otherwise. The
 	// driver, run loop and checkpoint path downstream are identical —
-	// a fabric is one engine whose cubes shard like vaults.
+	// a fabric is one engine whose cubes are walked like vaults.
 	var h *core.HMC
 	var sys *engine.System
 	capacity := uint64(cfg.CapacityGB) << 30

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -34,6 +35,13 @@ const (
 	maxSSEInterval     = 30 * time.Second
 )
 
+// sseWriteTimeout bounds each event or keepalive write, flush included.
+// A client that stops reading fills its socket buffers; the next write
+// then fails at the deadline instead of blocking, and the stream
+// goroutine exits. The server sets no WriteTimeout (streams outlive
+// any fixed bound), so this per-write deadline is the only one.
+const sseWriteTimeout = 10 * time.Second
+
 // sseInterval parses and bounds the ?interval_ms= query parameter.
 func sseInterval(raw string) (time.Duration, error) {
 	if raw == "" {
@@ -56,9 +64,22 @@ func sseInterval(raw string) (time.Duration, error) {
 // sseStream is one open event stream: a framing writer over the
 // response plus the event-ID counter the "id:" field advances.
 type sseStream struct {
-	w       http.ResponseWriter
-	flusher http.Flusher
-	nextID  int
+	w      http.ResponseWriter
+	rc     *http.ResponseController
+	nextID int
+}
+
+// write sends one framed chunk and flushes it under a fresh
+// sseWriteTimeout deadline. A wrapped writer that cannot take deadlines
+// still streams, just without the bound.
+func (s *sseStream) write(format string, args ...any) error {
+	if err := s.rc.SetWriteDeadline(time.Now().Add(sseWriteTimeout)); err != nil && !errors.Is(err, http.ErrNotSupported) {
+		return err
+	}
+	if _, err := fmt.Fprintf(s.w, format, args...); err != nil {
+		return err
+	}
+	return s.rc.Flush()
 }
 
 // keepalive writes one SSE comment line — invisible to event consumers
@@ -68,11 +89,7 @@ type sseStream struct {
 // queued (no Progress yet) or a post-retry probe climbs back to the
 // monotone cycle watermark.
 func (s *sseStream) keepalive() error {
-	if _, err := fmt.Fprint(s.w, ": keepalive\n\n"); err != nil {
-		return err
-	}
-	s.flusher.Flush()
-	return nil
+	return s.write(": keepalive\n\n")
 }
 
 // send frames one SSE event — "id:", "event:", then the payload JSON on
@@ -83,11 +100,7 @@ func (s *sseStream) send(event string, payload any) error {
 		return err
 	}
 	s.nextID++
-	if _, err := fmt.Fprintf(s.w, "id: %d\nevent: %s\ndata: %s\n\n", s.nextID, event, data); err != nil {
-		return err
-	}
-	s.flusher.Flush()
-	return nil
+	return s.write("id: %d\nevent: %s\ndata: %s\n\n", s.nextID, event, data)
 }
 
 // streamEvents serves one GET /v1/jobs/{id}/events request until the job
@@ -95,23 +108,28 @@ func (s *sseStream) send(event string, payload any) error {
 // response from the first streamed byte on; callers must have verified
 // the job exists (404 must precede the text/event-stream header).
 func (m *Manager) streamEvents(w http.ResponseWriter, r *http.Request, id string, interval time.Duration) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
+	if _, ok := w.(http.Flusher); !ok {
 		writeError(w, http.StatusInternalServerError, api.CodeInternal,
 			fmt.Errorf("server: response writer cannot stream"))
 		return
 	}
+	rc := http.NewResponseController(w)
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
 	h.Set("X-Accel-Buffering", "no") // defeat proxy buffering
 	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
+	if err := rc.Flush(); err != nil {
+		return
+	}
 
 	m.sseActive.Add(1)
 	defer m.sseActive.Add(-1)
 
-	s := &sseStream{w: w, flusher: flusher}
+	s := &sseStream{w: w, rc: rc}
+	// A deadline left behind would fail the next request served on this
+	// keep-alive connection.
+	defer rc.SetWriteDeadline(time.Time{})
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 

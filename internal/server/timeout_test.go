@@ -207,3 +207,83 @@ func TestSSEOutlivesServerTimeouts(t *testing.T) {
 		t.Fatalf("job settled %s (%s)", st.State, st.Error)
 	}
 }
+
+// smallBufListener shrinks the send buffer of every accepted connection,
+// so a client that stops reading stalls the server's writes after a few
+// kilobytes instead of after megabytes of loopback buffering.
+type smallBufListener struct{ net.Listener }
+
+func (l smallBufListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetWriteBuffer(1024)
+	}
+	return c, err
+}
+
+// TestSSEStalledClientDisconnected opens an event stream and never reads
+// from it while progress events keep coming. Once the socket buffers
+// fill, the next write must fail at sseWriteTimeout: the stream handler
+// returns and the server drops the connection. Without the per-write
+// deadline the write blocks for as long as the job runs, pinning the
+// stream goroutine.
+func TestSSEStalledClientDisconnected(t *testing.T) {
+	release := make(chan struct{})
+	m := NewManager(ManagerConfig{
+		Workers: 1, QueueDepth: 1,
+		runFn: func(ctx context.Context, spec JobSpec, eo ExecOptions) (Result, error) {
+			// Publish progress once: every tick then emits a progress
+			// event, not just a keepalive comment.
+			eo.Probe.Begin(spec.Requests, time.Now())
+			eo.Probe.Set(1, 1, 0)
+			select {
+			case <-release:
+				return Result{Config: spec.Name, Cycles: 1, Sent: spec.Requests}, nil
+			case <-ctx.Done():
+				return Result{}, ctx.Err()
+			}
+		},
+	})
+	defer shutdownNow(t, m)
+	defer close(release)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewHTTPServer(NewHandler(m))
+	go srv.Serve(smallBufListener{ln})
+	defer srv.Close()
+
+	st, err := m.Submit(testSpec("stalled", core.Table1Configs()[0], 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.(*net.TCPConn).SetReadBuffer(1024)
+	if _, err := fmt.Fprintf(conn, "GET /v1/jobs/%s/events?interval_ms=50 HTTP/1.1\r\nHost: hmcsim\r\n\r\n", st.ID); err != nil {
+		t.Fatal(err)
+	}
+
+	waitStreams := func(want int64, limit time.Duration) time.Duration {
+		t.Helper()
+		start := time.Now()
+		for m.sseActive.Load() != want {
+			if time.Since(start) > limit {
+				t.Fatalf("%d streams open after %v, want %d", m.sseActive.Load(), limit, want)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		return time.Since(start)
+	}
+	waitStreams(1, 5*time.Second)
+	if took := waitStreams(0, sseWriteTimeout+20*time.Second); took < sseWriteTimeout {
+		t.Errorf("stream ended after %v, before a %v write deadline could expire", took, sseWriteTimeout)
+	}
+	// The server hung up: reading out what the buffers held ends in EOF
+	// (or a reset) rather than blocking.
+	waitClosed(t, conn, 5*time.Second)
+}

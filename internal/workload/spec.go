@@ -29,13 +29,10 @@ type Spec struct {
 	// mixture is 50; zero means all reads.
 	WritePercent int `json:"write_percent,omitempty"`
 
-	// Workers is an execution hint, not a workload parameter: it selects
-	// the simulator's shard worker count (core.Config.Workers) when the
-	// submitted device configuration leaves it zero. Results are
-	// bit-identical for every value — the same access stream serviced by
-	// the same deterministic engine — so the hint trades only wall-clock
-	// time. Negative values are rejected; the executor caps the value at
-	// the engine's limit.
+	// Workers is accepted for compatibility with submissions and
+	// journals written when it hinted a worker count for the clock
+	// engine. It changes neither results nor speed: the engine is
+	// serial. Negative values are still rejected.
 	Workers int `json:"workers,omitempty"`
 
 	// GapCycles paces the injection: access k is not released before
@@ -103,9 +100,9 @@ func (s Spec) Build(capacityBytes uint64) (Generator, error) {
 // identical access streams:
 //
 //   - Kind "" becomes "random" and Size 0 becomes 64 (Build's defaults).
-//   - Workers and NoIdleSkip are cleared: both are execution hints whose
-//     every value yields bit-identical digests (the shard conformance
-//     suite and the wheel-vs-walk equivalence property pin this).
+//   - Workers and NoIdleSkip are cleared: Workers is inert, and every
+//     NoIdleSkip value yields bit-identical digests (the wheel-vs-walk
+//     equivalence property pins this).
 //   - Per-kind parameters the generator constructor ignores are zeroed:
 //     stride fields outside "stride", hotspot fields outside "hotspot",
 //     ZipfS outside "zipf", and WritePercent under "chase" (pointer
