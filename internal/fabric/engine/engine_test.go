@@ -12,6 +12,7 @@ import (
 	"hmcsim/internal/fabric"
 	"hmcsim/internal/fault"
 	"hmcsim/internal/host"
+	"hmcsim/internal/stats"
 	"hmcsim/internal/trace"
 	"hmcsim/internal/workload"
 )
@@ -303,23 +304,11 @@ func TestDetachedChannels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cs) != chans || cs[0] == cs[1] {
-		t.Fatalf("BuildChannels(%d) returned %d engines, distinct: %v", chans, len(cs), cs[0] != cs[1])
-	}
-	for ch, h := range cs {
-		if got := len(h.Topology().HostLinks(0)); got != cfg.NumLinks {
-			t.Errorf("channel %d: %d host links, want %d", ch, got, cfg.NumLinks)
-		}
-	}
 	got, err := RunDetached(cs, mk, n, host.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for ch := 0; ch < chans; ch++ {
-		if r := got[ch]; r.Sent != n || r.Errors != 0 || r.Latency.Count() != n {
-			t.Errorf("channel %d: sent %d, errors %d, latency samples %d; want %d, 0, %d",
-				ch, r.Sent, r.Errors, r.Latency.Count(), n, n)
-		}
 		solo, err := BuildChannels(1, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -343,5 +332,151 @@ func TestBuildChannelsRejectsBadConfig(t *testing.T) {
 	bad.NumVaults = 3
 	if _, err := BuildChannels(2, bad); err == nil {
 		t.Error("accepted bad channel config")
+	}
+}
+
+// channelConfig is the per-channel object of the multi-channel tests.
+func channelConfig() core.Config {
+	return core.Config{
+		NumDevs: 1, NumLinks: 4, NumVaults: 16, QueueDepth: 16,
+		NumBanks: 8, NumDRAMs: 20, CapacityGB: 2, XbarDepth: 32,
+	}
+}
+
+// randomChannels returns a generator factory giving channel ch a random
+// access stream seeded base+ch.
+func randomChannels(t *testing.T, base uint32) func(ch int) workload.Generator {
+	return func(ch int) workload.Generator {
+		g, err := workload.NewRandomAccess(base+uint32(ch), 1<<30, 64, 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+}
+
+// runChannels builds chans detached channels and runs n requests on each.
+func runChannels(t *testing.T, chans int, mk func(ch int) workload.Generator, n uint64) []host.Result {
+	t.Helper()
+	cs, err := BuildChannels(chans, channelConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunDetached(cs, mk, n, host.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != chans {
+		t.Fatalf("%d channel results, want %d", len(res), chans)
+	}
+	return res
+}
+
+// aggregateThroughput is requests per cycle of the slowest channel: the
+// channels run concurrently in their own clock domains.
+func aggregateThroughput(res []host.Result) float64 {
+	var cycles, sent uint64
+	for _, r := range res {
+		cycles = max(cycles, r.Cycles)
+		sent += r.Sent
+	}
+	if cycles == 0 {
+		return 0
+	}
+	return float64(sent) / float64(cycles)
+}
+
+// TestBuildChannelsDistinct pins that every channel is its own object
+// with every link of its device wired to the host.
+func TestBuildChannelsDistinct(t *testing.T) {
+	cfg := channelConfig()
+	cs, err := BuildChannels(2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cs) != 2 {
+		t.Fatalf("BuildChannels(2) returned %d engines", len(cs))
+	}
+	if cs[0] == nil || cs[1] == nil {
+		t.Fatal("channels missing")
+	}
+	if cs[0] == cs[1] {
+		t.Error("channels share an object")
+	}
+	for ch, h := range cs {
+		if got := len(h.Topology().HostLinks(0)); got != cfg.NumLinks {
+			t.Errorf("channel %d: %d host links, want %d", ch, got, cfg.NumLinks)
+		}
+	}
+}
+
+// TestDetachedMatchesSerial pins that running channels in goroutines
+// produces exactly the results of running the same objects serially,
+// each built independently: the objects share nothing.
+func TestDetachedMatchesSerial(t *testing.T) {
+	const chans, n = 4, 1500
+	mk := randomChannels(t, 100)
+	parallel := runChannels(t, chans, mk, n)
+	for ch := 0; ch < chans; ch++ {
+		h, err := eval.BuildSimple(channelConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := host.NewDriver(h, host.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial, err := d.Run(mk(ch), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial.Cycles != parallel[ch].Cycles || serial.Engine != parallel[ch].Engine {
+			t.Errorf("channel %d diverged: serial %d cycles, parallel %d",
+				ch, serial.Cycles, parallel[ch].Cycles)
+		}
+	}
+}
+
+// TestDetachedAggregates pins the per-channel results a multi-channel
+// run aggregates: every request sent without error, one latency sample
+// per request, and a slowest-channel wall clock.
+func TestDetachedAggregates(t *testing.T) {
+	const chans, n = 4, 2000
+	res := runChannels(t, chans, randomChannels(t, 1), n)
+	var sent, cycles uint64
+	var lat stats.Histogram
+	for i, r := range res {
+		if r.Sent != n || r.Errors != 0 {
+			t.Errorf("channel %d: sent %d, errors %d", i, r.Sent, r.Errors)
+		}
+		sent += r.Sent
+		cycles = max(cycles, r.Cycles)
+		lat.Merge(&r.Latency)
+	}
+	if sent != chans*n {
+		t.Errorf("requests = %d", sent)
+	}
+	for i, r := range res {
+		if r.Cycles > cycles {
+			t.Errorf("aggregate cycles %d below channel %d's %d", cycles, i, r.Cycles)
+		}
+	}
+	if lat.Count() != chans*n {
+		t.Errorf("merged latency count = %d", lat.Count())
+	}
+	if aggregateThroughput(res) <= 0 {
+		t.Error("no throughput")
+	}
+}
+
+// TestDetachedChannelScaling pins that aggregate throughput scales with
+// channel count for equal-length per-channel runs: wall cycles stay
+// flat while requests multiply.
+func TestDetachedChannelScaling(t *testing.T) {
+	const n = 2000
+	one := aggregateThroughput(runChannels(t, 1, randomChannels(t, 1), n))
+	four := aggregateThroughput(runChannels(t, 4, randomChannels(t, 1), n))
+	if four < 3*one {
+		t.Errorf("4-channel throughput %.1f not ~4x 1-channel %.1f", four, one)
 	}
 }

@@ -157,7 +157,6 @@ func TestFromTopologyRoundTrip(t *testing.T) {
 func TestInterleaveRoundTrip(t *testing.T) {
 	for _, iv := range []Interleave{
 		{Ways: 4, Block: 64},
-		{Ways: 8, Block: 64},
 		{Ways: 3, Block: 128}, // non-power-of-two cube count
 		{Ways: 1, Block: 64},
 	} {
@@ -175,7 +174,17 @@ func TestInterleaveRoundTrip(t *testing.T) {
 		if len(seen) != iv.Ways {
 			t.Errorf("iv %+v: only %d of %d cubes saw traffic", iv, len(seen), iv.Ways)
 		}
-		// Random addresses across a 40-bit space round-trip too.
+	}
+}
+
+// TestInterleaveQuickRoundTrip round-trips random addresses across a
+// 40-bit space.
+func TestInterleaveQuickRoundTrip(t *testing.T) {
+	for _, iv := range []Interleave{
+		{Ways: 4, Block: 64},
+		{Ways: 8, Block: 64},
+		{Ways: 3, Block: 128},
+	} {
 		f := func(raw uint64) bool {
 			addr := raw & (1<<40 - 1)
 			cube, local := iv.Shard(addr)
@@ -187,10 +196,24 @@ func TestInterleaveRoundTrip(t *testing.T) {
 	}
 }
 
+// TestInterleaveRotatesBlocks pins that consecutive blocks rotate across
+// cubes and that cube-local addresses are dense.
+func TestInterleaveRotatesBlocks(t *testing.T) {
+	iv := Interleave{Ways: 4, Block: 64}
+	for i := uint64(0); i < 16; i++ {
+		cube, local := iv.Shard(i * 64)
+		if cube != int(i%4) {
+			t.Errorf("block %d on cube %d, want %d", i, cube, i%4)
+		}
+		if want := i / 4 * 64; local != want {
+			t.Errorf("block %d local addr %#x, want %#x", i, local, want)
+		}
+	}
+}
+
 // TestInterleaveMatchesBitSlice pins the power-of-two equivalence with
 // the classic bit-slice channel interleave: channel bits extracted at
-// the block boundary, upper bits shifted down. Consecutive blocks thus
-// rotate across cubes with dense cube-local addresses.
+// the block boundary, upper bits shifted down.
 func TestInterleaveMatchesBitSlice(t *testing.T) {
 	const ways, block = 4, 64
 	iv := Interleave{Ways: ways, Block: block}
