@@ -118,10 +118,12 @@ cache-smoke:
 # sse-smoke exercises the multi-tenant streaming layer end to end: the
 # SSE lifecycle over real HTTP (mid-run subscribe, monotone cycles,
 # exactly one terminal event, client disconnect, drain cut), bearer
-# auth and per-tenant quotas, fair-share dispatch properties, and the
-# paging and retry-drain regression tests (DESIGN.md §16).
+# auth and per-tenant quotas, fair-share dispatch properties, the
+# paging and retry-drain regression tests, the cancel-wins rule,
+# tenant-scoped idempotency keys, and the seeded model test of the job
+# lifecycle (DESIGN.md §8, §16).
 sse-smoke:
-	$(GO) test -run 'TestSSE|TestFairShare|TestFairQueue|TestTenant|TestBearerAuth|TestListPaging|TestShutdownSettlesPendingRetry' -v ./internal/server
+	$(GO) test -run 'TestSSE|TestFairShare|TestFairQueue|TestTenant|TestBearerAuth|TestListPaging|TestShutdownSettlesPendingRetry|TestCancelWinsOverAttemptError|TestIdempotencyKeyScopedByTenant|TestManagerModel' -v ./internal/server
 
 table1:
 	$(GO) run ./cmd/hmcsim-table1

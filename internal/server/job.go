@@ -2,7 +2,7 @@
 // accepts simulation jobs (device configuration + workload spec + fault
 // spec), schedules them onto a bounded worker pool where every worker
 // owns an independent simulator instance, and exposes the whole thing
-// over a net/http JSON API with expvar-based metrics.
+// over a net/http JSON API with an obs metrics registry.
 //
 // The design leans on one architectural property of the engine, pinned
 // by tests in internal/eval: simulator instances share no mutable state,
@@ -90,12 +90,11 @@ type job struct {
 
 	state     state
 	attempt   int  // execution attempts so far (retry budget accounting)
-	cancelled bool // cancellation requested (queued or running)
+	cancelled bool // cancellation requested while running; wins over its error
 
 	// Content-addressed cache / singleflight fields (DESIGN.md §15).
 	specKey   cache.Key // content key of the canonicalized spec
 	followers []*job    // identical submits coalesced onto this leader
-	leader    *job      // non-nil while attached to a running leader
 	verify    bool      // cache hit sampled for re-execution this run
 }
 

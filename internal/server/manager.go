@@ -146,7 +146,7 @@ type Manager struct {
 	mu         sync.Mutex
 	jobs       map[string]*job
 	order      []string // job IDs in submission order, for stable listings
-	idem       map[string]string
+	idem       map[idemKey]string
 	seq        int
 	closed     bool
 	recovering bool
@@ -167,16 +167,10 @@ type Manager struct {
 	// retryTimers tracks the pending backoff timer of every job waiting
 	// between attempts, keyed by job ID (at most one per job). Shutdown
 	// stops them and settles the affected jobs instead of leaving them
-	// parked forever with a timer that fires into a closed manager.
+	// parked forever with a timer that fires into a closed manager. It is
+	// also the parked set the MaxQueued quota counts (parkedLocked).
 	// Guarded by mu.
 	retryTimers map[string]*time.Timer
-	// retryParked counts, per tenant, the jobs currently parked on a
-	// retry-backoff timer. Parked jobs occupy no fair-queue lane slot but
-	// will re-enter the queue, so the MaxQueued quota charges them too —
-	// without this, a tenant whose jobs fail transiently could hold
-	// max_queued lane slots plus an unbounded set of parked retries.
-	// Guarded by mu, kept in lockstep with retryTimers.
-	retryParked map[string]int
 
 	// workersDone closes once the worker pool has fully exited during
 	// Shutdown; SSE streams select on it so a drain that cannot finish a
@@ -248,6 +242,10 @@ type Manager struct {
 	reg *obs.Registry
 }
 
+// idemKey scopes an idempotency key to the tenant that submitted it: the
+// same key from two tenants names two jobs.
+type idemKey struct{ tenant, key string }
+
 // fabricLatBuckets is the bucket layout for inter-cube round-trip
 // latencies in simulated cycles: tens of cycles (local-ish) through
 // thousands (deep fabrics under heavy link latency).
@@ -270,14 +268,13 @@ func NewManager(cfg ManagerConfig) *Manager {
 		baseCtx:     ctx,
 		baseCancel:  cancel,
 		jobs:        make(map[string]*job),
-		idem:        make(map[string]string),
+		idem:        make(map[idemKey]string),
 		fq:          newFairQueue(cfg.QueueDepth),
 		cache:       cache.NewLRU(cfg.CacheBytes),
 		inflight:    make(map[cache.Key]*job),
 		tenantCfg:   make(map[string]TenantConfig),
 		tenantKeys:  make(map[string]string),
 		retryTimers: make(map[string]*time.Timer),
-		retryParked: make(map[string]int),
 		workersDone: make(chan struct{}),
 	}
 	for _, t := range cfg.Tenants {
@@ -464,7 +461,7 @@ func (m *Manager) SubmitTenant(spec JobSpec, tenant string) (st Status, created 
 		return Status{}, false, ErrRecovering
 	}
 	if spec.IdempotencyKey != "" {
-		if id, ok := m.idem[spec.IdempotencyKey]; ok {
+		if id, ok := m.idem[idemKey{tenant, spec.IdempotencyKey}]; ok {
 			return m.jobs[id].status(), false, nil
 		}
 	}
@@ -507,7 +504,7 @@ func (m *Manager) SubmitTenant(spec JobSpec, tenant string) (st Status, created 
 		// queue, so skipping it would let a transiently failing tenant
 		// hold max_queued slots plus unbounded parked retries.
 		if tc, ok := m.tenantCfg[tenant]; ok && tc.MaxQueued > 0 {
-			if pending := m.fq.queued(tenant) + m.retryParked[tenant]; pending >= tc.MaxQueued {
+			if pending := m.fq.queued(tenant) + m.parkedLocked(tenant); pending >= tc.MaxQueued {
 				m.quotaRejected.Add(1)
 				return Status{}, false, fmt.Errorf("%w: %d jobs queued or awaiting retry (max %d)",
 					ErrQuotaExceeded, pending, tc.MaxQueued)
@@ -549,19 +546,10 @@ func (m *Manager) SubmitTenant(spec JobSpec, tenant string) (st Status, created 
 		r := *cachedRes
 		r.SpecKey = key.String()
 		r.Cache = api.CacheHit
-		j.state.phase = StateDone
-		j.state.result = &r
-		j.state.finished = time.Now()
-		if m.store != nil {
-			if serr := m.store.SaveResult(j.id, &r); serr == nil {
-				m.journal(store.Record{Type: store.RecDone, Job: j.id, SpecKey: r.SpecKey, Cache: r.Cache})
-			}
-		}
-		m.completed.Add(1)
+		m.finishLocked(j, StateDone, &r, nil)
 	case leader != nil:
-		// Singleflight: attach to the running leader; settle delivers
+		// Singleflight: attach to the running leader; its settle delivers
 		// the shared result to every live follower.
-		j.leader = leader
 		leader.followers = append(leader.followers, j)
 	default:
 		if m.cfg.CacheBytes > 0 {
@@ -576,7 +564,7 @@ func (m *Manager) SubmitTenant(spec JobSpec, tenant string) (st Status, created 
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
 	if spec.IdempotencyKey != "" {
-		m.idem[spec.IdempotencyKey] = j.id
+		m.idem[idemKey{tenant, spec.IdempotencyKey}] = j.id
 	}
 	m.submitted.Add(1)
 	if c, ok := m.tenantSubmitted[tenant]; ok {
@@ -712,24 +700,7 @@ func (m *Manager) cancel(id string, owner *string) (Status, error) {
 	}
 	switch j.state.phase {
 	case StateQueued:
-		j.cancelled = true
-		j.state.phase = StateCancelled
-		j.state.finished = time.Now()
-		m.cancelledN.Add(1)
-		m.journal(store.Record{Type: store.RecCancelled, Job: j.id})
-		// Free the queue slot (and the tenant's quota headroom) now
-		// instead of when a worker pops and discards the husk. Retry-
-		// parked and follower jobs are not in the queue; remove is a no-op
-		// for them. A pending backoff timer is stopped the same way.
-		m.fq.remove(j.tenant, j)
-		if t, ok := m.retryTimers[j.id]; ok {
-			t.Stop()
-			m.unparkRetryLocked(j)
-		}
-		// A cancelled queued leader hands its followers to a promoted
-		// one; a cancelled follower just drops out of its leader's
-		// delivery list (the phase check there skips it).
-		m.detachLocked(j)
+		m.finishLocked(j, StateCancelled, nil, nil)
 	case StateRunning:
 		j.cancelled = true
 		if j.state.cancel != nil {
@@ -773,7 +744,7 @@ func (m *Manager) worker() {
 // runOne executes one attempt of a job and settles the outcome.
 func (m *Manager) runOne(j *job) {
 	m.mu.Lock()
-	if j.cancelled || j.state.phase != StateQueued {
+	if j.state.phase != StateQueued {
 		// Cancelled while queued; Cancel already settled the state.
 		m.mu.Unlock()
 		return
@@ -866,7 +837,11 @@ func (m *Manager) settle(j *job, res Result, err error) {
 	j.state.cancel = nil
 	j.state.probe = nil
 
-	if errors.Is(err, host.ErrSuspended) && m.store != nil {
+	// A requested cancel wins over whatever error the interrupted attempt
+	// returned: a transient failure, a panic or an unusable checkpoint
+	// must not requeue (or suspend) a job its owner cancelled.
+	cancelled := err != nil && j.cancelled
+	if !cancelled && errors.Is(err, host.ErrSuspended) && m.store != nil {
 		// Graceful drain took the final checkpoint through the hook;
 		// the job stays non-terminal in the journal and resumes on the
 		// next boot. It also stays the singleflight leader.
@@ -887,29 +862,22 @@ func (m *Manager) settle(j *job, res Result, err error) {
 		}
 	}
 
-	j.state.finished = time.Now()
-	m.service.Observe(j.state.finished.Sub(j.state.started).Seconds())
+	m.service.Observe(time.Since(j.state.started).Seconds())
 	switch {
+	case cancelled:
+		m.finishLocked(j, StateCancelled, nil, err)
 	case err == nil:
 		if !j.specKey.IsZero() {
 			res.SpecKey = j.specKey.String()
 			if j.verify {
 				res.Cache = api.CacheVerified
 			}
+			// Cache a pristine copy — provenance fields describe one
+			// completion, not the content.
+			cp := res
+			cp.Cache = ""
+			m.cacheEvict.Add(uint64(m.cache.Put(j.specKey, &cp, 0)))
 		}
-		// Persist the result before journaling done: a replayed done
-		// record implies a loadable result blob. The done record carries
-		// the spec key so replay rebuilds the cache index without
-		// re-hashing specs.
-		if m.store != nil {
-			if serr := m.store.SaveResult(j.id, &res); serr == nil {
-				m.journal(store.Record{Type: store.RecDone, Job: j.id, SpecKey: res.SpecKey, Cache: res.Cache})
-			}
-			m.store.RemoveCheckpoint(j.id)
-		}
-		j.state.phase = StateDone
-		j.state.result = &res
-		m.completed.Add(1)
 		m.cycles.Add(res.Cycles)
 		m.requests.Add(res.Sent)
 		m.idleSkipped.Add(res.IdleCyclesSkipped)
@@ -921,24 +889,7 @@ func (m *Manager) settle(j *job, res Result, err error) {
 				m.fabricLat.Observe(f.RemoteLatencyMean)
 			}
 		}
-		if !j.specKey.IsZero() {
-			// Cache a pristine copy — provenance fields describe one
-			// completion, not the content — then serve every follower.
-			cp := res
-			cp.Cache = ""
-			m.cacheEvict.Add(uint64(m.cache.Put(j.specKey, &cp, 0)))
-			m.deliverFollowersLocked(j, &res)
-			m.detachLocked(j)
-		}
-	case j.cancelled && errors.Is(err, context.Canceled):
-		j.state.phase = StateCancelled
-		j.state.err = err
-		m.cancelledN.Add(1)
-		m.journal(store.Record{Type: store.RecCancelled, Job: j.id})
-		if m.store != nil {
-			m.store.RemoveCheckpoint(j.id)
-		}
-		m.detachLocked(j)
+		m.finishLocked(j, StateDone, &res, nil)
 	case errors.Is(err, ErrBadCheckpoint):
 		// The persisted checkpoint would not restore. Drop it and retry
 		// from cycle zero; the attempt still counts.
@@ -951,14 +902,75 @@ func (m *Manager) settle(j *job, res Result, err error) {
 	default:
 		// Timeouts, simulation errors and shutdown-forced aborts all
 		// fail the job — never the process.
-		j.state.phase = StateFailed
-		j.state.err = err
+		m.finishLocked(j, StateFailed, nil, err)
+	}
+}
+
+// finishLocked is the one move into a terminal state: done (with res),
+// failed (err says why) or cancelled (err is the interrupted attempt's
+// error, if any). It
+//   - sets the phase, result, error and finish time;
+//   - counts the job once: a done job under coalesced_jobs when a leader
+//     served its result, else under jobs_completed; the others under
+//     jobs_failed and jobs_cancelled;
+//   - journals the terminal record, persisting a done result first so a
+//     replayed done record always finds its blob (a failed save leaves
+//     the journal conservative: the job reruns after a restart);
+//   - drops the job's checkpoint, and a queued job's lane slot (freeing
+//     its tenant's quota headroom now, not when a worker would pop the
+//     husk) and retry timer;
+//   - detaches it from the singleflight table (detachLocked).
+//
+// Caller holds m.mu.
+func (m *Manager) finishLocked(j *job, phase State, res *Result, err error) {
+	queued := j.state.phase == StateQueued
+	j.state.phase = phase
+	j.state.result = res
+	j.state.err = err
+	j.state.finished = time.Now()
+	switch phase {
+	case StateDone:
+		if res.Cache == api.CacheCoalesced {
+			m.coalesced.Add(1)
+		} else {
+			m.completed.Add(1)
+		}
+		if m.store != nil && m.store.SaveResult(j.id, res) == nil {
+			// The done record carries the spec key so replay rebuilds the
+			// cache index without re-hashing specs.
+			m.journal(store.Record{Type: store.RecDone, Job: j.id, SpecKey: res.SpecKey, Cache: res.Cache})
+		}
+	case StateFailed:
 		m.failed.Add(1)
 		m.journal(store.Record{
 			Type: store.RecFailed, Job: j.id,
 			Attempt: j.attempt, Error: err.Error(),
 		})
-		m.detachLocked(j)
+	case StateCancelled:
+		m.cancelledN.Add(1)
+		m.journal(store.Record{Type: store.RecCancelled, Job: j.id})
+	}
+	if m.store != nil && j.attempt > 0 {
+		m.store.RemoveCheckpoint(j.id) // only a started job can have one
+	}
+	if queued {
+		// Parked and follower jobs are in no lane, and lane jobs have no
+		// timer: each step is a no-op for a job not in its place.
+		m.fq.remove(j.tenant, j)
+		if t, ok := m.retryTimers[j.id]; ok {
+			t.Stop()
+			delete(m.retryTimers, j.id)
+		}
+	}
+	m.detachLocked(j)
+}
+
+// abandonLocked settles a queued job the closing manager will not run
+// again. Without a store it fails; with one it stays non-terminal in the
+// journal and is requeued by the next process. Caller holds m.mu.
+func (m *Manager) abandonLocked(j *job, why string) {
+	if m.store == nil {
+		m.finishLocked(j, StateFailed, nil, fmt.Errorf("%w: %s", ErrShuttingDown, why))
 	}
 }
 
@@ -966,14 +978,10 @@ func (m *Manager) settle(j *job, res Result, err error) {
 // or fails it when the attempt budget is spent. Caller holds m.mu.
 func (m *Manager) requeueLocked(j *job, cause error) {
 	if j.attempt >= m.cfg.MaxAttempts {
-		j.state.phase = StateFailed
+		// The journal keeps the last attempt's cause, which is what replay
+		// shows; the live status also names the spent budget.
+		m.finishLocked(j, StateFailed, nil, cause)
 		j.state.err = fmt.Errorf("server: %d attempts exhausted: %w", j.attempt, cause)
-		m.failed.Add(1)
-		m.journal(store.Record{
-			Type: store.RecFailed, Job: j.id,
-			Attempt: j.attempt, Error: cause.Error(),
-		})
-		m.detachLocked(j)
 		return
 	}
 	m.journal(store.Record{
@@ -993,148 +1001,89 @@ func (m *Manager) requeueLocked(j *job, cause error) {
 // and silently re-arm itself forever, leaking a goroutine timer cycle
 // per abandoned retry and leaving the job parked in StateQueued with no
 // worker ever coming back for it. At most one timer exists per job.
-// Arming also charges the job to its tenant's retry-parked count so the
-// MaxQueued quota keeps seeing it while it holds no lane slot.
 // Caller holds m.mu.
 func (m *Manager) armRetryLocked(j *job, delay time.Duration) {
-	if _, ok := m.retryTimers[j.id]; !ok {
-		m.retryParked[j.tenant]++
-	}
 	m.retryTimers[j.id] = time.AfterFunc(delay, func() { m.enqueueRetry(j, delay) })
 }
 
-// unparkRetryLocked forgets j's pending backoff timer (already stopped
-// or fired) and refunds its slot in the tenant's retry-parked count.
-// Idempotent: a timer entry already removed decrements nothing, so a
-// fired timer racing a Cancel or Shutdown cannot double-refund the
-// quota. Caller holds m.mu.
-func (m *Manager) unparkRetryLocked(j *job) {
-	if _, ok := m.retryTimers[j.id]; !ok {
-		return
+// parkedLocked counts the tenant's jobs parked on a retry-backoff timer.
+// Parked jobs occupy no fair-queue lane slot but will re-enter the
+// queue, so the MaxQueued quota charges them too — without this, a
+// tenant whose jobs fail transiently could hold max_queued lane slots
+// plus an unbounded set of parked retries. Caller holds m.mu.
+func (m *Manager) parkedLocked(tenant string) int {
+	n := 0
+	for id := range m.retryTimers {
+		if m.jobs[id].tenant == tenant {
+			n++
+		}
 	}
-	delete(m.retryTimers, j.id)
-	if m.retryParked[j.tenant] > 0 {
-		m.retryParked[j.tenant]--
-	}
+	return n
 }
 
 // enqueueRetry puts a backoff-expired job back on the queue. A full
-// queue pushes the retry out by another delay; a closed manager leaves
-// the job journaled for the next process (store-backed) or fails it.
+// queue pushes the retry out by another delay; a closed manager
+// abandons the job.
 func (m *Manager) enqueueRetry(j *job, delay time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.unparkRetryLocked(j) // this timer has fired; it no longer needs stopping
-	if j.state.phase != StateQueued || j.cancelled {
-		return // cancelled while waiting for backoff
-	}
-	if m.closed {
-		if m.store == nil {
-			j.state.phase = StateFailed
-			j.state.err = fmt.Errorf("%w: retry abandoned", ErrShuttingDown)
-			j.state.finished = time.Now()
-			m.failed.Add(1)
-			m.detachLocked(j)
-		}
-		// With a store the job stays non-terminal in the journal and is
-		// requeued by the next process.
-		return
-	}
-	if !m.fq.push(j.tenant, j) {
+	delete(m.retryTimers, j.id) // this timer has fired; it no longer needs stopping
+	switch {
+	case j.state.phase != StateQueued:
+		// Cancelled while waiting for backoff.
+	case m.closed:
+		m.abandonLocked(j, "retry abandoned")
+	case !m.fq.push(j.tenant, j):
 		m.armRetryLocked(j, delay)
 	}
 }
 
-// deliverFollowersLocked completes every live follower of j with its own
-// provenance-stamped copy of the leader's result. Followers never touch
-// the cycles/requests counters — no simulation ran for them — and count
-// under coalesced_jobs, not jobs_completed, so the reconciliation
-// invariant submitted = completed + failed + cancelled + coalesced
-// holds. Caller holds m.mu; res is already SpecKey-annotated.
-func (m *Manager) deliverFollowersLocked(j *job, res *Result) {
-	for _, f := range j.followers {
-		if f.state.phase != StateQueued || f.cancelled {
-			continue // cancelled while attached; Cancel settled it
-		}
-		fr := *res
-		fr.Cache = api.CacheCoalesced
-		f.state.phase = StateDone
-		f.state.result = &fr
-		f.state.finished = time.Now()
-		f.leader = nil
-		m.coalesced.Add(1)
-		if m.store != nil {
-			if serr := m.store.SaveResult(f.id, &fr); serr == nil {
-				m.journal(store.Record{Type: store.RecDone, Job: f.id, SpecKey: fr.SpecKey, Cache: fr.Cache})
-			}
-		}
-	}
-	j.followers = nil
-}
-
-// detachLocked removes j from the singleflight table when it settles in
-// a terminal state. A leader that failed or was cancelled hands its
-// surviving followers to the first of them, which is promoted to a real
-// queued job (re-journaled state is unnecessary — every follower was
-// journaled at submission) — coalescing never strands a submission
-// behind a leader that produced no result. Caller holds m.mu.
+// detachLocked removes a settled leader from the singleflight table and
+// settles what its live followers were waiting for. A leader that
+// finished done serves each of them its own provenance-stamped copy of
+// the result (finishLocked counts those under coalesced_jobs: no
+// simulation ran for them). A leader that failed or was cancelled hands
+// them to the first of them, which is promoted to a real queued job
+// (re-journaled state is unnecessary — every follower was journaled at
+// submission) — coalescing never strands a submission behind a leader
+// that produced no result. A settled follower needs nothing: it just
+// drops out of its leader's delivery (the phase check skips it).
+// Caller holds m.mu.
 func (m *Manager) detachLocked(j *job) {
-	if j.specKey.IsZero() {
-		return
-	}
-	if j.leader != nil {
-		// j was a follower; it just drops out of the leader's delivery
-		// list (the phase check there skips settled jobs).
-		j.leader = nil
-		return
-	}
-	if m.inflight[j.specKey] != j {
+	if j.specKey.IsZero() || m.inflight[j.specKey] != j {
 		return
 	}
 	delete(m.inflight, j.specKey)
-	var next *job
-	var rest []*job
+	var live []*job
 	for _, f := range j.followers {
-		if f.state.phase != StateQueued || f.cancelled {
-			continue
-		}
-		if next == nil {
-			next = f
-		} else {
-			rest = append(rest, f)
+		if f.state.phase == StateQueued {
+			live = append(live, f)
 		}
 	}
 	j.followers = nil
-	if next == nil {
-		return
-	}
-	if m.closed {
-		if m.store == nil {
-			// The pool is draining and nothing persists these jobs:
-			// fail them rather than strand them forever-queued.
-			for _, f := range append([]*job{next}, rest...) {
-				f.leader = nil
-				f.state.phase = StateFailed
-				f.state.err = fmt.Errorf("%w: coalesced leader did not complete", ErrShuttingDown)
-				f.state.finished = time.Now()
-				m.failed.Add(1)
-			}
+	switch {
+	case len(live) == 0:
+	case j.state.phase == StateDone:
+		for _, f := range live {
+			fr := *j.state.result
+			fr.Cache = api.CacheCoalesced
+			m.finishLocked(f, StateDone, &fr, nil)
 		}
-		// Store-backed drain: they stay non-terminal in the journal and
-		// requeue as independent jobs under the next process.
-		return
-	}
-	next.leader = nil
-	next.followers = rest
-	for _, f := range rest {
-		f.leader = next
-	}
-	m.inflight[j.specKey] = next
-	if !m.fq.push(next.tenant, next) {
-		// Queue momentarily full; retry shortly off-lock, like a
-		// backoff-expired retry would. The timer is tracked so Shutdown
-		// can settle the promoted follower too.
-		m.armRetryLocked(next, 10*time.Millisecond)
+	case m.closed:
+		// The pool is draining: nothing will run a promoted follower.
+		for _, f := range live {
+			m.abandonLocked(f, "coalesced leader did not complete")
+		}
+	default:
+		next := live[0]
+		next.followers = live[1:]
+		m.inflight[j.specKey] = next
+		if !m.fq.push(next.tenant, next) {
+			// Queue momentarily full; retry shortly off-lock, like a
+			// backoff-expired retry would. The timer is tracked so Shutdown
+			// can settle the promoted follower too.
+			m.armRetryLocked(next, 10*time.Millisecond)
+		}
 	}
 }
 
@@ -1165,33 +1114,16 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		if m.store != nil {
 			m.suspend.Store(true)
 		}
-		// Stop every pending backoff timer and settle its job now. A
+		// Stop every pending backoff timer and abandon its job now. A
 		// timer we beat to the punch (Stop reports true) will never fire,
 		// so without this its job would stay parked in StateQueued
 		// forever; one that already fired runs enqueueRetry, which
-		// observes m.closed and settles the job itself.
+		// observes m.closed and abandons the job itself.
 		for id, t := range m.retryTimers {
-			if !t.Stop() {
-				continue
-			}
-			j := m.jobs[id]
-			if j == nil {
+			if t.Stop() {
 				delete(m.retryTimers, id)
-				continue
+				m.abandonLocked(m.jobs[id], "retry abandoned")
 			}
-			m.unparkRetryLocked(j)
-			if j.state.phase != StateQueued || j.cancelled {
-				continue
-			}
-			if m.store == nil {
-				j.state.phase = StateFailed
-				j.state.err = fmt.Errorf("%w: retry abandoned", ErrShuttingDown)
-				j.state.finished = time.Now()
-				m.failed.Add(1)
-				m.detachLocked(j)
-			}
-			// Store-backed: the job stays journaled non-terminal and
-			// requeues under the next process, like any suspended job.
 		}
 		m.fq.close()
 	}

@@ -56,7 +56,7 @@ func (m *Manager) recoverFromJournal() []*job {
 			m.jobs[j.id] = j
 			m.order = append(m.order, j.id)
 			if rec.Key != "" {
-				m.idem[rec.Key] = j.id
+				m.idem[idemKey{rec.Tenant, rec.Key}] = j.id
 			}
 			var n int
 			if _, err := fmt.Sscanf(rec.Job, "job-%06d", &n); err == nil && n > m.seq {
@@ -95,7 +95,6 @@ func (m *Manager) recoverFromJournal() []*job {
 			j.state.err = errors.New(rec.Error)
 			j.state.finished = rec.Time
 		case store.RecCancelled:
-			j.cancelled = true
 			j.state.phase = StateCancelled
 			j.state.finished = rec.Time
 		}
@@ -125,7 +124,7 @@ func (m *Manager) requeueRecovered(pending []*job) {
 	for _, j := range pending {
 		for {
 			m.mu.Lock()
-			if m.closed || j.cancelled || j.state.phase != StateQueued {
+			if m.closed || j.state.phase != StateQueued {
 				m.mu.Unlock()
 				break
 			}

@@ -470,7 +470,7 @@ func TestTenantQuotaCountsRetryParked(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		m.mu.Lock()
-		parked := m.retryParked["alice"]
+		parked := m.parkedLocked("alice")
 		m.mu.Unlock()
 		if parked == 1 {
 			break
